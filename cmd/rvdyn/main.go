@@ -23,7 +23,7 @@
 //	rvdyn profile [-func f1,f2] [-mode m] {prog.elf|workload-name}
 //	                                         instrument, run, and print a
 //	                                         per-function cycle profile
-//	rvdyn dbirun [-func f1,f2] [-mode m] [-novirt] {prog.elf|workload-name}
+//	rvdyn dbirun [-func f1,f2] [-novirt] {prog.elf|workload-name}
 //	                                         run under the dynamic binary
 //	                                         instrumentation engine (code-cache
 //	                                         translation, no rewrite) and print
@@ -792,7 +792,6 @@ func runSampled(file *elfrv.File, opts sample.Options, pprofPath, foldedPath str
 func cmdDBIRun(args []string) {
 	fs := flag.NewFlagSet("dbirun", flag.ExitOnError)
 	funcs := fs.String("func", "", "comma-separated functions to probe (default: workload metadata, or every named function)")
-	mode := fs.String("mode", "dead", "register allocation: dead or spill")
 	maxInst := fs.Uint64("max", 0, "instruction budget, 0 = unlimited")
 	noVirt := fs.Bool("novirt", false, "disable counter virtualization (report raw translation-inflated counters)")
 	samplePeriod := fs.Uint64("sample-period", 0, "sample the run on the (compensated) virtual clock every N cycles instead of probing")
@@ -820,8 +819,7 @@ func cmdDBIRun(args []string) {
 		reg = obs.NewRegistry()
 	}
 	rep, err := profile.RunDBI(file, profile.Options{
-		Funcs: flist, Mode: parseMode(*mode), MaxInst: *maxInst, Obs: reg,
-		NoCounterVirt: *noVirt, NoTrace: *notraceFlag,
+		Funcs: flist, MaxInst: *maxInst, Obs: reg, NoCounterVirt: *noVirt, NoTrace: *notraceFlag,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -831,8 +829,7 @@ func cmdDBIRun(args []string) {
 	for _, name := range []string{
 		"emu.dbi.translations", "emu.dbi.chain.patches", "emu.dbi.chain.hits",
 		"emu.dbi.invalidations", "emu.dbi.indirect_exits",
-		"emu.dbi.ibl.hits", "emu.dbi.ibl.misses",
-		"emu.dbi.ibc.hits", "emu.dbi.ibc.misses", "emu.dbi.probe_removals",
+		"emu.dbi.ibl.hits", "emu.dbi.ibl.misses", "emu.dbi.probe_removals",
 		"emu.dbi.flushes", "emu.dbi.probes", "emu.dbi.deopts",
 	} {
 		fmt.Printf("%-24s %d\n", name, reg.Counter(name).Load())

@@ -83,9 +83,17 @@ func observeRun(t *testing.T, f *elfrv.File, probeAddrs []uint64, reg *obs.Regis
 	} else if ev, err = p.ContinueBudget(runBudget); err != nil {
 		t.Fatalf("native run: %v", err)
 	}
+	sealObs(t, f, p, ev, o, &out)
+	return o
+}
+
+// sealObs checks the run exited and completes o from the final state.
+func sealObs(t *testing.T, f *elfrv.File, p *proc.Process, ev proc.Event, o *oracle.Observation, out *bytes.Buffer) {
+	t.Helper()
 	if ev.Kind != proc.EventExit {
 		t.Fatalf("run stopped with %v (addr=%#x, err=%v, pc=%#x)", ev.Kind, ev.Addr, ev.Err, p.PC())
 	}
+	cpu := p.CPU()
 	h := sha256.New()
 	for _, s := range oracle.WritableSections(f) {
 		b, err := cpu.ReadMem(s.Addr, int(s.Size()))
@@ -98,7 +106,6 @@ func observeRun(t *testing.T, f *elfrv.File, probeAddrs []uint64, reg *obs.Regis
 	o.ExitCode = p.ExitCode()
 	o.Stdout = out.Bytes()
 	o.Steps = cpu.Instret
-	return o
 }
 
 func compareObs(t *testing.T, name string, native, dbi *oracle.Observation) {

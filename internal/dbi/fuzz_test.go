@@ -2,7 +2,6 @@ package dbi
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"rvdyn/internal/core"
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
+	"rvdyn/internal/obs"
 	"rvdyn/internal/oracle"
 	"rvdyn/internal/proc"
 	"rvdyn/internal/snippet"
@@ -69,6 +69,12 @@ func fuzzInstAddrs(f *elfrv.File) []uint64 {
 	return out
 }
 
+// pressureSeed selects cache pressure: a seed at or below -pressureSeed
+// runs its band (seed -pressureSeed-k runs band -1-k) under a
+// pressureCache-byte code cache that flushes again and again, live chains,
+// parked budget stops, self-modification and re-attaches included.
+const pressureSeed = 1 << 32
+
 // FuzzDBILockstep is the headline differential fuzzer for the dynamic
 // engine: every input derives a program (oracle-generated, or one of the
 // jalr-dense / self-modifying stress sources) plus a randomized schedule of
@@ -88,17 +94,55 @@ func FuzzDBILockstep(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint64(seed)*0x9e3779b97f4a7c15)
 	}
+	for _, in := range pressureInputs {
+		f.Add(in.seed, in.sched)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, sched uint64) {
+		var cacheSize uint64
+		if seed <= -pressureSeed {
+			cacheSize = pressureCache
+		}
 		if seed < -4 {
 			seed = -1 - (-seed % 4) // fold arbitrary negatives onto the bands
 		}
 		prog, smc := fuzzProgram(t, seed)
 		native := observeNative(t, prog)
-		runFuzzSchedule(t, prog, smc, native, seed, sched)
+		runFuzzSchedule(t, prog, smc, native, seed, sched, cacheSize)
 	})
 }
 
-func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Observation, seed int64, sched uint64) {
+// pressureInputs are the FuzzDBILockstep seeds running the stress bands
+// under cache pressure, two schedules each, plus two schedules that stack
+// probes until one block's translation outgrows the whole cache (the
+// engine must split it rather than fail).
+var pressureInputs = []struct {
+	seed  int64
+	sched uint64
+}{
+	{-pressureSeed, 0}, {-pressureSeed, 0x9e3779b97f4a7c15},
+	{-pressureSeed - 1, 0}, {-pressureSeed - 1, 0x9e3779b97f4a7c15},
+	{-pressureSeed - 2, 0}, {-pressureSeed - 2, 0x9e3779b97f4a7c15},
+	{-pressureSeed - 3, 0}, {-pressureSeed - 3, 0x9e3779b97f4a7c15},
+	{-pressureSeed - 1, 0xc17c33675a6bb08e}, {-pressureSeed - 3, 0x1649d8f7165a38ce},
+}
+
+// TestDBILockstepCachePressure replays the cache-pressure fuzz seeds and
+// requires each to have flushed the cache, so the seeds keep covering the
+// flush path (FuzzDBILockstep itself checks native identity).
+func TestDBILockstepCachePressure(t *testing.T) {
+	for _, in := range pressureInputs {
+		band := -1 - (-in.seed % 4)
+		prog, smc := fuzzProgram(t, band)
+		native := observeNative(t, prog)
+		if n := runFuzzSchedule(t, prog, smc, native, band, in.sched, pressureCache); n == 0 {
+			t.Errorf("seed %d sched %#x: no cache flush", in.seed, in.sched)
+		}
+	}
+}
+
+// runFuzzSchedule runs one randomized schedule against native and returns
+// how many times the engine flushed its cache.
+func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Observation, seed int64, sched, cacheSize uint64) uint64 {
 	rng := rand.New(rand.NewSource(int64(sched) ^ seed*0x5bf03635))
 	addrs := fuzzInstAddrs(f)
 	if smc {
@@ -132,7 +176,11 @@ func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Obser
 		got.Trace = append(got.Trace, oracle.SyscallRecord{Num: num, A0: a0, A1: a1, A2: a2, Ret: ret})
 	}
 
-	e, err := Attach(p, f, Options{NoCounterVirt: rng.Intn(4) == 0})
+	reg := obs.NewRegistry()
+	opts := func() Options {
+		return Options{CacheSize: cacheSize, NoCounterVirt: rng.Intn(4) == 0, Obs: NewMetrics(reg)}
+	}
+	e, err := Attach(p, f, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +248,7 @@ func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Obser
 			if ev.Kind != proc.EventBudget {
 				break
 			}
-			if e, err = Attach(p, f, Options{NoCounterVirt: rng.Intn(4) == 0}); err != nil {
+			if e, err = Attach(p, f, opts()); err != nil {
 				t.Fatalf("re-attach: %v", err)
 			}
 			placed = nil // probes do not survive detach
@@ -215,21 +263,7 @@ func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Obser
 			t.Fatal(err)
 		}
 	}
-	if ev.Kind != proc.EventExit {
-		t.Fatalf("run stopped with %v (addr=%#x err=%v pc=%#x)", ev.Kind, ev.Addr, ev.Err, p.PC())
-	}
-
-	h := sha256.New()
-	for _, s := range oracle.WritableSections(f) {
-		b, err := cpu.ReadMem(s.Addr, int(s.Size()))
-		if err != nil {
-			t.Fatalf("hashing %s: %v", s.Name, err)
-		}
-		h.Write(b)
-	}
-	copy(got.MemHash[:], h.Sum(nil))
-	got.ExitCode = p.ExitCode()
-	got.Stdout = out.Bytes()
+	sealObs(t, f, p, ev, got, &out)
 	compareObs(t, "fuzz", native, got)
 
 	// The compensation invariant: raw retired minus the accumulated deltas
@@ -239,4 +273,5 @@ func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Obser
 		t.Errorf("compensated instret %d != native %d (raw %d, extra %d)",
 			dI, native.Steps, cpu.Instret, comp.ExtraInstret)
 	}
+	return reg.Counter("emu.dbi.flushes").Load()
 }

@@ -2,7 +2,6 @@ package dbi
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"rvdyn/internal/core"
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
+	"rvdyn/internal/obs"
 	"rvdyn/internal/oracle"
 	"rvdyn/internal/proc"
 	"rvdyn/internal/snippet"
@@ -137,30 +137,110 @@ func observeMatrix(t *testing.T, f *elfrv.File, addrs []uint64, mode probeMode, 
 			}
 		}
 	}
-	if ev.Kind != proc.EventExit {
-		t.Fatalf("run stopped with %v (addr=%#x, err=%v, pc=%#x)", ev.Kind, ev.Addr, ev.Err, p.PC())
-	}
-	h := sha256.New()
-	for _, s := range oracle.WritableSections(f) {
-		b, err := cpu.ReadMem(s.Addr, int(s.Size()))
-		if err != nil {
-			t.Fatalf("hashing %s: %v", s.Name, err)
-		}
-		h.Write(b)
-	}
-	copy(o.MemHash[:], h.Sum(nil))
-	o.ExitCode = p.ExitCode()
-	o.Stdout = out.Bytes()
-	o.Steps = cpu.Instret
+	sealObs(t, f, p, ev, o, &out)
 	return o
+}
+
+// pressureCache is a code cache smaller than every workload's translated
+// working set with entry probes (the smallest, tailcall's, is 368 bytes)
+// yet larger than any single translation (at most 134 bytes), so the
+// engine flushes the whole cache again and again.
+const pressureCache = 256
+
+// pressureStats counts flushes by the situation the engine was in: with
+// chained stubs live, resuming from a budget stop parked inside the cache,
+// and in a session re-attached after a detach.
+type pressureStats struct {
+	flushes, chained, parked, reattached uint64
+}
+
+// observePressure runs f under the engine with a pressureCache-byte code
+// cache and probes at addrs, in short budget slices so stops park inside
+// the cache between flushes. After the first flush it detaches, runs a
+// native slice, and re-attaches with the same cache and probes. It returns
+// the observation, the compensated instret and cycle counts, and which
+// situations the flushes hit.
+func observePressure(t *testing.T, f *elfrv.File, addrs []uint64, noVirt bool) (o *oracle.Observation, instret, cycles uint64, st pressureStats) {
+	t.Helper()
+	p, err := proc.Launch(f, emu.P550())
+	if err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	cpu := p.CPU()
+	var out bytes.Buffer
+	o = &oracle.Observation{}
+	cpu.Stdout = &out
+	cpu.TimeFn = func() uint64 { return pinnedClock }
+	cpu.SyscallTrace = func(num, a0, a1, a2, ret uint64) {
+		o.Trace = append(o.Trace, oracle.SyscallRecord{Num: num, A0: a0, A1: a1, A2: a2, Ret: ret})
+	}
+	reg := obs.NewRegistry()
+	flushes := reg.Counter("emu.dbi.flushes")
+	attach := func() *Engine {
+		e, err := Attach(p, f, Options{CacheSize: pressureCache, NoCounterVirt: noVirt, Obs: NewMetrics(reg)})
+		if err != nil {
+			t.Fatalf("attach: %v", err)
+		}
+		for _, a := range addrs {
+			if err := e.ProbeAt(a, snippet.Empty()); err != nil {
+				t.Fatalf("probe at %#x: %v", a, err)
+			}
+		}
+		return e
+	}
+	e := attach()
+	reattached := false
+	ev := proc.Event{Kind: proc.EventBudget}
+	for ev.Kind == proc.EventBudget {
+		chained := false
+		for _, s := range e.exits {
+			chained = chained || s.chained
+		}
+		lo, hi := e.CacheRange()
+		parked := p.PC() >= lo && p.PC() < hi
+		before := flushes.Load()
+		if ev, err = e.ContinueBudget(7); err != nil {
+			t.Fatalf("dbi slice: %v", err)
+		}
+		if n := flushes.Load() - before; n > 0 {
+			if chained {
+				st.chained += n
+			}
+			if parked {
+				st.parked += n
+			}
+			if reattached {
+				st.reattached += n
+			}
+		}
+		if ev.Kind == proc.EventBudget && !reattached && flushes.Load() > 0 {
+			if err := e.Detach(); err != nil {
+				t.Fatalf("detach: %v", err)
+			}
+			if ev, err = p.ContinueBudget(3); err != nil {
+				t.Fatalf("native slice: %v", err)
+			}
+			if ev.Kind == proc.EventBudget {
+				reattached = true
+				e = attach()
+			}
+		}
+	}
+	sealObs(t, f, p, ev, o, &out)
+	st.flushes = flushes.Load()
+	comp := e.Comp()
+	return o, uint64(int64(cpu.Instret) - comp.ExtraInstret), uint64(int64(cpu.Cycles) - comp.ExtraCycles), st
 }
 
 // TestDBIEquivalenceMatrix sweeps {every workload} × {no probes, entry
 // probes, instruction points, probe-removed-mid-run} × {counter
 // virtualization on, off} and requires every cell's observables — exit
 // code, stdout, syscall trace, final writable memory — to match the native
-// run bit-for-bit.
+// run bit-for-bit. A cache-pressure row (observePressure) adds the
+// compensated instret and cycle counts to that bar and requires the
+// engine to have flushed.
 func TestDBIEquivalenceMatrix(t *testing.T) {
+	var pressure pressureStats
 	for _, prog := range workload.Programs() {
 		prog := prog
 		t.Run(prog.Name, func(t *testing.T) {
@@ -194,6 +274,32 @@ func TestDBIEquivalenceMatrix(t *testing.T) {
 					compareObs(t, name, native, got)
 				}
 			}
+			// Cache pressure: entry probes under a cache that keeps flushing.
+			pn, err := proc.Launch(f, emu.P550())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pn.Continue(); err != nil {
+				t.Fatal(err)
+			}
+			for _, noVirt := range []bool{false, true} {
+				name := fmt.Sprintf("flush/virt=%v", !noVirt)
+				got, dI, dC, st := observePressure(t, f, entries, noVirt)
+				compareObs(t, name, native, got)
+				if dI != pn.CPU().Instret || dC != pn.CPU().Cycles {
+					t.Errorf("%s: compensated counters %d/%d, native %d/%d", name, dI, dC, pn.CPU().Instret, pn.CPU().Cycles)
+				}
+				if st.flushes == 0 {
+					t.Errorf("%s: no cache flush", name)
+				}
+				t.Logf("%s: %+v", name, st)
+				pressure.chained += st.chained
+				pressure.parked += st.parked
+				pressure.reattached += st.reattached
+			}
 		})
+	}
+	if pressure.chained == 0 || pressure.parked == 0 || pressure.reattached == 0 {
+		t.Errorf("cache-pressure cells missed a situation: %+v", pressure)
 	}
 }

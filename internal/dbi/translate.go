@@ -54,23 +54,6 @@ type exitStub struct {
 	// committed it, along with the link register, before the miss exit).
 	resume uint64
 
-	// ibcSlot is the stubIndirect site's private inline-cache pair address
-	// (0: none — the region was exhausted) and ibcIdx its slot index, the
-	// site tag the stub's dbi.jt markers carry into the target profile.
-	// ibcFilled/ibcTarget track what the slot currently holds, host-side,
-	// so the install policy and severing need no guest reads; ibcCounts is
-	// the per-target observation count the profile accumulates (engine
-	// round trips plus drained dbi.jt samples), and the slot is steered to
-	// its argmax. ibcLo/ibcHi bound the emitted compare sequence in the
-	// cache: the engine must not rewrite the slot while the guest is
-	// parked inside it with one of the pair's words already loaded.
-	ibcSlot      uint64
-	ibcIdx       uint16
-	ibcLo, ibcHi uint64
-	ibcFilled    bool
-	ibcTarget    uint64
-	ibcCounts    map[uint64]uint32
-
 	from    *translation
 	chained bool
 }
@@ -103,10 +86,8 @@ type translation struct {
 	incoming []uint64
 	// iblSlots lists lookup-table slots holding entries that target this
 	// translation; invalidation zeroes them (sever) so stale cache
-	// addresses are unreachable. ibcSites lists the jalr sites whose
-	// inline cache pairs point here, severed the same way.
+	// addresses are unreachable.
 	iblSlots []uint64
-	ibcSites []*exitStub
 	dead     bool
 }
 
@@ -183,7 +164,12 @@ func accInst(idx int) riscv.Inst {
 // caller deopts to native execution, which traps at the same PC with the
 // same fault.
 func (e *Engine) translate(orig uint64) (*translation, error) {
-	insts, origEnd := e.scan(orig)
+	return e.translateN(orig, maxBlockInsts)
+}
+
+// translateN is translate with the block capped at limit instructions.
+func (e *Engine) translateN(orig uint64, limit int) (*translation, error) {
+	insts, origEnd := e.scan(orig, limit)
 	if len(insts) == 0 {
 		return nil, nil
 	}
@@ -312,7 +298,7 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 					return err
 				}
 			case in.Cat() == riscv.CatJALR:
-				if err := e.emitIBL(in, emit, stub, base); err != nil {
+				if err := e.emitIBL(in, emit, stub); err != nil {
 					return err
 				}
 			case in.Mn == riscv.MnEBREAK:
@@ -341,23 +327,28 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 			if ferr := e.flushAll(); ferr != nil {
 				return nil, ferr
 			}
-			return e.translate(orig)
+			return e.translateN(orig, limit)
 		}
 		return nil, err
 	}
 
+	if size := uint64(len(buf)); size > e.cacheEnd-e.cacheBase {
+		// Larger than the whole cache: split the block into chained
+		// fragments that fit.
+		if len(insts) == 1 {
+			return nil, fmt.Errorf("dbi: translation of %#x (%d bytes) exceeds cache size %d",
+				orig, size, e.cacheEnd-e.cacheBase)
+		}
+		return e.translateN(orig, len(insts)/2)
+	}
 	if e.cacheNext+uint64(len(buf)) > e.cacheEnd {
 		if err := e.flushAll(); err != nil {
 			return nil, err
 		}
-		if e.cacheNext+uint64(len(buf)) > e.cacheEnd {
-			return nil, fmt.Errorf("dbi: translation of %#x (%d bytes) exceeds cache size %d",
-				orig, len(buf), e.cacheEnd-e.cacheBase)
-		}
 		// The emitted addresses assumed the pre-flush cacheNext; re-emit
 		// against the reset cursor. (The flush also truncated the delta
 		// table, so the indices must be re-allocated too.)
-		return e.translate(orig)
+		return e.translateN(orig, limit)
 	}
 
 	t := &translation{
@@ -382,9 +373,9 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 // scan decodes the straight-line run starting at orig through the
 // breakpoint-transparent debugger view, stopping at the first control
 // transfer, undecodable bytes, or the block cap.
-func (e *Engine) scan(orig uint64) (insts []riscv.Inst, end uint64) {
+func (e *Engine) scan(orig uint64, limit int) (insts []riscv.Inst, end uint64) {
 	pc := orig
-	for len(insts) < maxBlockInsts {
+	for len(insts) < limit {
 		raw, err := e.p.ReadMem(pc, 4)
 		if err != nil {
 			if raw, err = e.p.ReadMem(pc, 2); err != nil {

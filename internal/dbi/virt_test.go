@@ -1,6 +1,7 @@
 package dbi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,82 +157,56 @@ func TestDBICounterVirtualizationBudgetStops(t *testing.T) {
 }
 
 // TestDBIIBLHitRatio pins the inline-lookup payoff on the recursive fib
-// workload: at least 90%% of former indirect engine exits must be absorbed
-// by in-cache lookup hits.
+// workload, driven both continuously and in 500-instruction budget slices
+// (the cadence a sampling profiler imposes, which parks the guest inside
+// lookup stubs): every one of fib's 465 indirect transfers must resolve
+// either in-cache or through an engine round trip, at least 90% of them
+// in-cache, and every round trip must be a lookup miss.
 func TestDBIIBLHitRatio(t *testing.T) {
+	const fibIndirect = 465
 	f, err := asm.Assemble(workload.FibSource, asm.Options{})
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	reg := obs.NewRegistry()
-	o := observeDBI(t, f, nil, reg)
-	if o.ExitCode != workload.FibExpected {
-		t.Fatalf("exit %d, want %d", o.ExitCode, workload.FibExpected)
-	}
-	hits := reg.Counter("emu.dbi.ibl.hits").Load()
-	misses := reg.Counter("emu.dbi.ibl.misses").Load()
-	if hits+misses == 0 {
-		t.Fatal("no indirect branches at all — fib's returns vanished")
-	}
-	if ratio := float64(hits) / float64(hits+misses); ratio < 0.90 {
-		t.Errorf("IBL absorbed %.1f%% of indirect exits (hits=%d misses=%d), want >= 90%%",
-			ratio*100, hits, misses)
-	}
-	if ie := reg.Counter("emu.dbi.indirect_exits").Load(); ie != misses {
-		t.Errorf("indirect_exits=%d != ibl.misses=%d — with inline lookup they must coincide", ie, misses)
-	}
-}
-
-// TestDBIIBCHitRatio pins the per-site inline cache's payoff on fib, whose
-// single ret site is polymorphic (it returns into two recursive call sites
-// plus main). Driven in budget slices — the cadence a sampling profiler
-// imposes — the engine drains the dbi.jt target profile at every re-entry
-// and steers the slot to the majority target, so the one-compare fast path
-// must absorb at least half of all indirect transfers. (First-install
-// instead of profile-guided steering measures ~19% here.)
-func TestDBIIBCHitRatio(t *testing.T) {
-	f, err := asm.Assemble(workload.FibSource, asm.Options{})
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	p, err := proc.Launch(f, emu.P550())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	e, err := Attach(p, f, Options{Obs: NewMetrics(reg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		ev, err := e.ContinueBudget(500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Kind == proc.EventExit {
-			if ev.ExitCode != workload.FibExpected {
-				t.Fatalf("exit %d, want %d", ev.ExitCode, workload.FibExpected)
+	for _, slice := range []uint64{0, 500} {
+		t.Run(fmt.Sprintf("slice=%d", slice), func(t *testing.T) {
+			p, err := proc.Launch(f, emu.P550())
+			if err != nil {
+				t.Fatal(err)
 			}
-			break
-		}
-		if ev.Kind != proc.EventBudget {
-			t.Fatalf("slice ended with %+v", ev)
-		}
-	}
-	hits := reg.Counter("emu.dbi.ibc.hits").Load()
-	misses := reg.Counter("emu.dbi.ibc.misses").Load()
-	if hits+misses == 0 {
-		t.Fatal("no indirect branches at all — fib's returns vanished")
-	}
-	if ratio := float64(hits) / float64(hits+misses); ratio < 0.50 {
-		t.Errorf("IBC absorbed %.1f%% of indirect transfers (hits=%d misses=%d), want >= 50%%",
-			ratio*100, hits, misses)
-	}
-	// Every hash-table hit is by definition an IBC miss that fell through;
-	// the engine round trips are the remainder.
-	if ibl := reg.Counter("emu.dbi.ibl.hits").Load(); ibl+reg.Counter("emu.dbi.ibl.misses").Load() != misses {
-		t.Errorf("ibc.misses=%d != ibl.hits+ibl.misses=%d", misses,
-			ibl+reg.Counter("emu.dbi.ibl.misses").Load())
+			reg := obs.NewRegistry()
+			e, err := Attach(p, f, Options{Obs: NewMetrics(reg)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				ev, err := e.ContinueBudget(slice)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Kind == proc.EventExit {
+					if ev.ExitCode != workload.FibExpected {
+						t.Fatalf("exit %d, want %d", ev.ExitCode, workload.FibExpected)
+					}
+					break
+				}
+				if ev.Kind != proc.EventBudget {
+					t.Fatalf("slice ended with %+v", ev)
+				}
+			}
+			hits := reg.Counter("emu.dbi.ibl.hits").Load()
+			misses := reg.Counter("emu.dbi.ibl.misses").Load()
+			if hits+misses != fibIndirect {
+				t.Fatalf("ibl.hits+ibl.misses = %d+%d, want fib's %d indirect transfers", hits, misses, fibIndirect)
+			}
+			if ratio := float64(hits) / float64(hits+misses); ratio < 0.90 {
+				t.Errorf("IBL absorbed %.1f%% of indirect transfers (hits=%d misses=%d), want >= 90%%",
+					ratio*100, hits, misses)
+			}
+			if ie := reg.Counter("emu.dbi.indirect_exits").Load(); ie != misses {
+				t.Errorf("indirect_exits=%d != ibl.misses=%d — with inline lookup they must coincide", ie, misses)
+			}
+		})
 	}
 }
 

@@ -628,18 +628,7 @@ func (c *CPU) exec(inst riscv.Inst) (stop bool, err error) {
 		if !dc.apply(inst.Imm + 2048) {
 			return false, fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
 		}
-		if dc.Deltas[inst.Imm+2048].JT == DBIJTIBC {
-			dc.IBCHits++
-		} else {
-			dc.IBLHits++
-		}
-		// The rd/rs1 fields carry the site's inline-cache slot index (the
-		// registers themselves are dead here — the stub restored the guest
-		// set before the dbi.jt); tagged sites feed the target profile.
-		if site := uint16(inst.Rd&31) | uint16(inst.Rs1&31)<<5; site != 0 {
-			dc.JTProf[dc.JTProfN%JTProfSize] = JTSample{Site: site, Cache: dc.Scratch[3]}
-			dc.JTProfN++
-		}
+		dc.IBLHits++
 		next = dc.Scratch[3]
 	case riscv.MnBEQ:
 		if rs1 == rs2 {

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -203,4 +204,80 @@ func TestTraceBudgetedRunEquivalence(t *testing.T) {
 		}
 	}
 	requireSameState(t, whole, sliced)
+}
+
+// TestTraceWordLoopCmpExit: a hot loop of 32-bit loads and stores that
+// walks an 8 KiB buffer (so the per-op page cache refills as the walk
+// crosses pages) and leaves through a fused slt+beqz exit. The traced run
+// must end bit-identical to per-instruction dispatch, registers and buffer
+// alike.
+func TestTraceWordLoopCmpExit(t *testing.T) {
+	src := `
+	.text
+_start:
+	la s1, buf
+	li s0, 0              # i
+	li s2, 300            # iterations: well past the trace-hotness threshold
+	li s3, 0              # running sum
+	li s4, 0x1ffc         # word-aligned offset mask within the buffer
+loop:
+	li t0, 68
+	mul t0, s0, t0        # stride 68 bytes: crosses a page every ~60 passes
+	and t0, t0, s4
+	add t0, s1, t0
+	lw t1, 0(t0)
+	add t1, t1, s0
+	sw t1, 0(t0)
+	add s3, s3, t1
+	addi s0, s0, 1
+	slt t2, s0, s2
+	beqz t2, done
+	j loop
+done:
+	andi a0, s3, 0xff
+	li a7, 93
+	ecall
+
+	.data
+	.balign 8
+buf:
+	.zero 8192
+`
+	f, err := asm.Assemble(src, asm.Options{NoCompress: true})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	fast, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	fast.Obs = NewMetrics(reg)
+	slow, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow.SlowDispatch = true
+	if rf, rs := fast.Run(0), slow.Run(0); rf != rs || rf != StopExit {
+		t.Fatalf("stop reason: fast %v, slow %v", rf, rs)
+	}
+	requireSameState(t, fast, slow)
+	buf, ok := f.Symbol("buf")
+	if !ok {
+		t.Fatal("no buf symbol")
+	}
+	mf, err := fast.ReadMem(buf.Value, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := slow.ReadMem(buf.Value, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mf, ms) {
+		t.Error("buffer contents diverged between traced and per-instruction runs")
+	}
+	if builds, _, passes, _, _ := traceCounters(reg); builds == 0 || passes == 0 {
+		t.Fatalf("loop never trace-compiled: builds=%d passes=%d", builds, passes)
+	}
 }

@@ -44,7 +44,7 @@ func RunDBI(f *elfrv.File, opts Options) (*Report, error) {
 	if opts.Obs != nil {
 		m = dbi.NewMetrics(opts.Obs)
 	}
-	e, err := dbi.Attach(p, f, dbi.Options{Mode: opts.Mode, Obs: m, NoCounterVirt: opts.NoCounterVirt})
+	e, err := dbi.Attach(p, f, dbi.Options{Obs: m, NoCounterVirt: opts.NoCounterVirt})
 	if err != nil {
 		return nil, err
 	}

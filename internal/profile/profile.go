@@ -36,8 +36,8 @@ type Options struct {
 	// function except the one containing the ELF entry point (which becomes
 	// the residual root row).
 	Funcs []string
-	// Mode is the snippet register-allocation strategy for the call-count
-	// instrumentation.
+	// Mode is the snippet register-allocation strategy for the static
+	// call-count instrumentation (RunDBI's probes always spill).
 	Mode codegen.Mode
 	// Obs, when non-nil, also attaches emulator metrics to the run and
 	// records profiler counters (profile.probe_hits).
