@@ -76,7 +76,8 @@ type bodyInst struct {
 }
 
 // Terminator kinds. tkExec is the generic fallback through CPU.exec
-// (ecall, csr ops, fence.i, ebreak, invalid).
+// (ecall, fence.i, ebreak, invalid, and every CSR op except the DBI
+// scratch CSRs, which are body ops).
 const (
 	tkExec = iota
 	tkBranch
@@ -84,6 +85,7 @@ const (
 	tkJALR
 	tkCmpBranch // fused compare+branch: cmp is block.cmp, branch is term
 	tkAuipcJalr // fused auipc+jalr rung: auipc folded into the terminator
+	tkDBIJT     // inline-lookup transfer: target from DBI scratch CSR 0x7C3
 )
 
 // blockLink caches one resolved successor of a block. hits counts how many
@@ -241,7 +243,7 @@ func (c *CPU) buildBlock(pc uint64) *block {
 			}
 			break // fall through; the next dispatch traps at a
 		}
-		fn := handlerFor(inst.Mn)
+		fn := handlerFor(&inst)
 		if fn == nil { // control transfer or system: terminator
 			b.term = inst
 			b.hasTerm = true
@@ -300,10 +302,10 @@ func (c *CPU) prepareTerm(b *block) {
 	t := &b.term
 	b.termCost = c.Model.Cost(t.Mn)
 	// dbi.jt is CatJALR by nature (an indirect jump) but takes its target
-	// from DBI scratch state, not rs1+imm — dispatch it by value through
-	// exec rather than the jalr fast path.
+	// from DBI scratch state, not rs1+imm, so it gets its own kind rather
+	// than the jalr fast path — one the trace tier can compile through.
 	if t.Mn == riscv.MnDBIJT {
-		b.termKind = tkExec
+		b.termKind = tkDBIJT
 		return
 	}
 	switch t.Cat() {
@@ -476,6 +478,16 @@ func (c *CPU) runBlock(b *block) (retired uint64, stop StopReason) {
 		c.Cycles += b.cmpCost + b.termCost
 		c.Instret += 2
 		return n + 2, stopNone
+	case tkDBIJT:
+		target, err := c.dbiJT(&b.term)
+		if err != nil {
+			c.lastTrap = &Trap{PC: c.PC, Why: "execute " + b.term.String(), Wrap: err}
+			return n, StopTrap
+		}
+		c.PC = target
+		c.Cycles += b.termCost
+		c.Instret++
+		return n + 1, stopNone
 	}
 	exited, err := c.exec(b.term)
 	if err != nil {
@@ -508,20 +520,29 @@ func (c *CPU) evalBranch(mn riscv.Mnemonic, rs1, rs2 uint64) bool {
 	return false
 }
 
-// handlerFor returns the body handler for a mnemonic, or nil when the
-// instruction must terminate a block: control transfers (the block is over),
+// handlerFor returns the body handler for an instruction, or nil when it
+// must terminate a block: control transfers (the block is over),
 // ecall/ebreak (stop state, syscalls), fence.i (invalidates the very cache
-// the block lives in), and CSR ops (they read the live cycle/instret
-// counters, which are only up to date at block boundaries).
-func handlerFor(mn riscv.Mnemonic) instFn {
+// the block lives in), and CSR ops (the counter CSRs read the live
+// cycle/instret counters, which are only up to date at block boundaries,
+// and the FP CSRs are too cold to specialize). The one exception is the
+// DBI scratch CSRs 0x7C0–0x7C3: they hold engine state that never depends
+// on the counters, and the inline-lookup stubs touch them on every
+// indirect transfer, so they are body ops.
+func handlerFor(inst *riscv.Inst) instFn {
+	mn := inst.Mn
 	switch mn.Cat() {
 	case riscv.CatBranch, riscv.CatJAL, riscv.CatJALR:
 		return nil
 	}
 	switch mn {
-	case riscv.MnInvalid, riscv.MnECALL, riscv.MnEBREAK, riscv.MnFENCEI,
-		riscv.MnCSRRW, riscv.MnCSRRS, riscv.MnCSRRC,
+	case riscv.MnInvalid, riscv.MnECALL, riscv.MnEBREAK, riscv.MnFENCEI:
+		return nil
+	case riscv.MnCSRRW, riscv.MnCSRRS, riscv.MnCSRRC,
 		riscv.MnCSRRWI, riscv.MnCSRRSI, riscv.MnCSRRCI:
+		if isScratchCSR(inst.CSR) {
+			return fnScratchCSR
+		}
 		return nil
 
 	// Dedicated handlers for the hot mnemonics skip the generic dispatch
@@ -660,6 +681,11 @@ func (c *CPU) tryFuse(p *bodyInst, inst riscv.Inst) bool {
 // equivalence test in block_test.go enforces this).
 
 func fnStraight(c *CPU, bi *bodyInst) error { return c.execStraight(&bi.inst) }
+
+// fnScratchCSR runs a DBI scratch-CSR access. Without a DBIComp csrOp
+// faults exactly as the slow path's does, and the fault protocol leaves the
+// access unretired at its own PC.
+func fnScratchCSR(c *CPU, bi *bodyInst) error { return c.csrOp(bi.inst) }
 
 func fnADDI(c *CPU, bi *bodyInst) error {
 	i := &bi.inst

@@ -163,13 +163,17 @@ type CPU struct {
 	fuseCount   [numFuseKinds]uint64
 
 	// Trace-tier counters (trace.go): traces compiled, trace dispatches,
-	// completed loop passes, mispredicted-branch side exits, and traces
-	// severed by invalidation (at dispatch or mid-trace by an SMC store).
+	// completed loop passes, mispredicted-branch and failed-guard side
+	// exits, traces severed by invalidation (at dispatch or mid-trace by an
+	// SMC store), and guarded dbi.jt ops that continued the trace or
+	// side-exited.
 	traceBuilds    uint64
 	traceHits      uint64
 	tracePasses    uint64
 	traceSideExits uint64
 	traceSevers    uint64
+	traceJTHits    uint64
+	traceJTExits   uint64
 
 	// blkGen mirrors the generation of the block runBlock is executing, so
 	// fused store-pair handlers can detect a mid-pair code invalidation.
@@ -459,7 +463,8 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 		// and plain-field counters are the single source of truth, so the
 		// hot loop never touches an atomic.
 		defer c.syncObs(c.Instret, c.chainHits, c.chainSevers, c.fuseCount, c.Mem.TLB,
-			[5]uint64{c.traceBuilds, c.traceHits, c.tracePasses, c.traceSideExits, c.traceSevers})()
+			[7]uint64{c.traceBuilds, c.traceHits, c.tracePasses, c.traceSideExits, c.traceSevers,
+				c.traceJTHits, c.traceJTExits})()
 	}
 	budget := maxInst
 	// chained holds the next block resolved through the successor cache of
@@ -535,7 +540,7 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 // syncObs snapshots the hot-path counters at Run entry and returns the
 // deferred function that publishes the deltas to the obs registry.
 func (c *CPU) syncObs(instret, chainHits, chainSevers uint64,
-	fuse [numFuseKinds]uint64, tlb TLBStats, tr [5]uint64) func() {
+	fuse [numFuseKinds]uint64, tlb TLBStats, tr [7]uint64) func() {
 	return func() {
 		m := c.Obs
 		m.Instructions.Add(c.Instret - instret)
@@ -546,6 +551,8 @@ func (c *CPU) syncObs(instret, chainHits, chainSevers uint64,
 		m.TracePasses.Add(c.tracePasses - tr[2])
 		m.TraceSideExits.Add(c.traceSideExits - tr[3])
 		m.TraceSevers.Add(c.traceSevers - tr[4])
+		m.TraceJTHits.Add(c.traceJTHits - tr[5])
+		m.TraceJTExits.Add(c.traceJTExits - tr[6])
 		for k := 0; k < numFuseKinds; k++ {
 			m.Fused[k].Add(c.fuseCount[k] - fuse[k])
 		}
@@ -621,15 +628,11 @@ func (c *CPU) exec(inst riscv.Inst) (stop bool, err error) {
 		// Inline-lookup transfer (xdbi): jump to the translated cache
 		// address the stub stashed in scratch CSR 0x7C3, applying the
 		// stub's compensation delta. Only valid inside a DBI code cache.
-		dc := c.DBIComp
-		if dc == nil {
-			return false, fmt.Errorf("emu: dbi.jt outside DBI-attached CPU at %#x", inst.Addr)
+		t, e := c.dbiJT(&inst)
+		if e != nil {
+			return false, e
 		}
-		if !dc.apply(inst.Imm + 2048) {
-			return false, fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
-		}
-		dc.IBLHits++
-		next = dc.Scratch[3]
+		next = t
 	case riscv.MnBEQ:
 		if rs1 == rs2 {
 			next = inst.Addr + uint64(inst.Imm)

@@ -1,5 +1,11 @@
 package emu
 
+import (
+	"fmt"
+
+	"rvdyn/internal/riscv"
+)
+
 // CompDelta records how far a stretch of DBI-translated code diverges from
 // the original program it stands in for: Insts extra retired instructions
 // and Cycles extra cost-model cycles. The DBI engine computes one delta per
@@ -59,4 +65,24 @@ func (dc *DBIComp) apply(idx int64) bool {
 	dc.ExtraInstret += d.Insts
 	dc.ExtraCycles += d.Cycles
 	return true
+}
+
+// isScratchCSR reports whether csr is one of the DBI scratch CSRs.
+func isScratchCSR(csr uint16) bool { return csr >= 0x7C0 && csr <= 0x7C3 }
+
+// dbiJT retires the bookkeeping of a dbi.jt — the stub's compensation delta
+// and one IBL hit — and returns its target, the translated address in
+// scratch CSR 0x7C3. Every dispatch tier executes dbi.jt through it. On
+// error nothing has been applied: the CPU has no DBIComp, or the delta
+// index was never allocated (a translation bug).
+func (c *CPU) dbiJT(inst *riscv.Inst) (uint64, error) {
+	dc := c.DBIComp
+	if dc == nil {
+		return 0, fmt.Errorf("emu: dbi.jt outside DBI-attached CPU at %#x", inst.Addr)
+	}
+	if !dc.apply(inst.Imm + 2048) {
+		return 0, fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
+	}
+	dc.IBLHits++
+	return dc.Scratch[3], nil
 }

@@ -37,14 +37,19 @@ type Metrics struct {
 	// compiled into flattened traces; TraceHits counts trace dispatches;
 	// TracePasses counts completed loop passes (passes/hits is the loop
 	// residency — how many iterations each dispatch absorbs);
-	// TraceSideExits counts mispredicted-branch exits back to the
-	// dispatcher; TraceSevers counts traces dropped by code invalidation
-	// (SMC or dynamic patching), at dispatch or mid-trace.
+	// TraceSideExits counts mispredicted-branch and failed-guard exits
+	// back to the dispatcher; TraceSevers counts traces dropped by code
+	// invalidation (SMC or dynamic patching), at dispatch or mid-trace.
+	// TraceJTHits and TraceJTExits split the guarded dbi.jt ops of traces
+	// through DBI lookup stubs: target matched and the trace went on, or
+	// target differed and the trace side-exited (also a TraceSideExits).
 	TraceBuilds    *obs.Counter
 	TraceHits      *obs.Counter
 	TracePasses    *obs.Counter
 	TraceSideExits *obs.Counter
 	TraceSevers    *obs.Counter
+	TraceJTHits    *obs.Counter
+	TraceJTExits   *obs.Counter
 
 	// Software-TLB probe counters, per access kind. hits/(hits+misses) is
 	// the translation hit rate; the fetch TLB only sees decode-cache
@@ -77,6 +82,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		TracePasses:        r.Counter("emu.trace.passes"),
 		TraceSideExits:     r.Counter("emu.trace.side_exits"),
 		TraceSevers:        r.Counter("emu.trace.severs"),
+		TraceJTHits:        r.Counter("emu.trace.jt.hits"),
+		TraceJTExits:       r.Counter("emu.trace.jt.side_exits"),
 		TLBReadHits:        r.Counter("emu.tlb.read.hits"),
 		TLBReadMisses:      r.Counter("emu.tlb.read.misses"),
 		TLBWriteHits:       r.Counter("emu.tlb.write.hits"),

@@ -40,9 +40,15 @@ import (
 // exactly like runBlock's retire-prefix protocol), and a stale trace is
 // severed at dispatch.
 //
-// Traces contain no syscalls, CSR reads, fence.i, or ebreaks — blocks
+// Traces contain no syscalls, guest CSR ops, fence.i, or ebreaks — blocks
 // terminated by those (tkExec) end the walk — so Exited and the counters
-// visible to CSR reads cannot change mid-trace.
+// visible to CSR reads cannot change mid-trace. The only CSR ops inside a
+// trace are the DBI scratch-CSR accesses (body ops: engine state that never
+// reads the counters). A DBI code cache's inline-lookup transfer (dbi.jt,
+// tkDBIJT) compiles to a guarded op: the trace continues into the
+// hottest profiled target and side-exits when the looked-up target
+// differs, so a hot chain of translated code spans its indirect returns
+// the way DynamoRIO and MAMBO traces do.
 
 // Trace build limits and the hotness trigger: a chain link must be taken
 // traceHotMask+1 times before its target is considered a trace head.
@@ -87,6 +93,8 @@ const (
 	otJal        // constant-target jump+link, trace continues at the target
 	otAuipcJalr  // fused auipc+jalr (constant target), trace continues
 	otJalrEnd    // indirect jump: dynamic target, always a trace end
+	otJT         // dbi.jt guarded on its hottest target, trace continues
+	otJTEnd      // dbi.jt without a profiled target: trace end
 )
 
 // traceOp is one flattened constituent, fused pair, superop, or terminator
@@ -107,7 +115,7 @@ type traceOp struct {
 	preN      uint8          // superops: constituents committed before the faultable tail
 	mn        riscv.Mnemonic // branch mnemonic (otBr/otBrEnd/otAddiBr)
 	imm       int64
-	aux       uint64 // folded constant / shift amount / branch taken target
+	aux       uint64 // folded constant / shift amount / taken or guarded target
 	aux2      uint64 // second constant / fallthrough PC / link value
 	pgTag     uint64 // page cache: page index + 1 (0 = empty)
 	pg        *page
@@ -148,8 +156,9 @@ func (c *CPU) maybeTrace(b *block, pc uint64) {
 // buildTrace walks the predicted chain from the head block at entry and
 // compiles it into a flattened trace, attaching it to head (or marking the
 // head untraceable). The walk follows constant-target terminators and the
-// profiled-likely side of conditional branches, and stops at indirect
-// jumps, unpredictable branches, tkExec blocks (syscalls/CSRs/ebreak), a
+// profiled-likely side of conditional branches and the hottest target of
+// a dbi.jt, and stops at indirect jumps, unpredictable branches, a dbi.jt
+// with no profiled target, tkExec blocks (syscalls/CSRs/ebreak), a
 // revisited PC, or the build caps. A walk that returns to entry makes a
 // looping trace.
 func (c *CPU) buildTrace(head *block, entry uint64) {
@@ -226,6 +235,16 @@ func (c *CPU) buildTrace(head *block, entry uint64) {
 				op.imm = b.term.Imm
 				op.n, op.cost, op.cost1 = 1, b.termCost, b.termCost
 				done = true
+			case tkDBIJT:
+				op.n, op.cost = 1, b.termCost
+				if tgt, ok := c.hottestSucc(b); ok {
+					op.kind = otJT
+					op.aux = tgt
+					nextPC = tgt
+				} else {
+					op.kind = otJTEnd
+					done = true
+				}
 			}
 			t.ops = append(t.ops, op)
 		}
@@ -372,6 +391,20 @@ func (c *CPU) predictBranch(b *block) (taken, ok bool) {
 		return false, true
 	}
 	return false, false
+}
+
+// hottestSucc picks the guard target of b's dbi.jt: the cached successor
+// with the most hits among those still valid at the current generation.
+// ok is false when none has been profiled yet.
+func (c *CPU) hottestSucc(b *block) (pc uint64, ok bool) {
+	var best uint32
+	for i := range b.succ {
+		s := &b.succ[i]
+		if s.b != nil && s.b.gen == c.icGen && (!ok || s.hits > best) {
+			pc, best, ok = s.pc, s.hits, true
+		}
+	}
+	return pc, ok
 }
 
 // traceBodyOp specializes one body entry into a trace op. Anything without
@@ -666,6 +699,23 @@ func (c *CPU) runTrace(t *trace, budget uint64, limited bool) (retired uint64, s
 				c.Cycles += op.cumC + op.cost1
 				c.Instret += op.cumN + 1
 				return retired + op.cumN + 1, stopNone
+			case otJT:
+				target, err := c.dbiJT(&op.b.term)
+				if err != nil {
+					return c.traceJTFault(op, retired, err)
+				}
+				if target != op.aux {
+					c.traceSideExits++
+					c.traceJTExits++
+					return c.traceJTExit(op, retired, target)
+				}
+				c.traceJTHits++
+			case otJTEnd:
+				target, err := c.dbiJT(&op.b.term)
+				if err != nil {
+					return c.traceJTFault(op, retired, err)
+				}
+				return c.traceJTExit(op, retired, target)
 			}
 		}
 		// Full pass completed.
@@ -740,6 +790,27 @@ func (c *CPU) traceBranchExit(op *traceOp, retired uint64, taken bool) (uint64, 
 	c.Cycles += op.cumC + cost
 	c.Instret += op.cumN + uint64(op.n)
 	return retired + op.cumN + uint64(op.n), stopNone
+}
+
+// traceJTExit leaves the trace through a retired dbi.jt (delta applied,
+// IBL hit counted) whose target is not the trace's continuation.
+func (c *CPU) traceJTExit(op *traceOp, retired, target uint64) (uint64, StopReason) {
+	c.PC = target
+	c.Cycles += op.cumC + op.cost
+	c.Instret += op.cumN + 1
+	return retired + op.cumN + 1, stopNone
+}
+
+// traceJTFault handles a dbi.jt that cannot retire (no DBIComp, or an
+// unallocated delta): the committed prefix is charged, the dbi.jt stays
+// unretired with the PC at it, and the trap is the one every other tier
+// reports.
+func (c *CPU) traceJTFault(op *traceOp, retired uint64, err error) (uint64, StopReason) {
+	c.PC = op.b.term.Addr
+	c.Cycles += op.cumC
+	c.Instret += op.cumN
+	c.lastTrap = &Trap{PC: c.PC, Why: "execute " + op.b.term.String(), Wrap: err}
+	return retired + op.cumN, StopTrap
 }
 
 // traceCmpEval executes the fused compare+branch of b (compare committed to

@@ -84,7 +84,10 @@ func TestHTTPInstrumentEndToEnd(t *testing.T) {
 		t.Error("warm response bytes differ from cold response")
 	}
 
-	// HTTP status metrics observed both requests.
+	// HTTP status metrics observed both requests. The status counter is
+	// bumped after the handler returns, which can be after the client read
+	// the last byte; Close waits for in-flight handlers.
+	ts.Close()
 	if got := reg.Counter("server.http.2xx").Load(); got != 2 {
 		t.Errorf("server.http.2xx = %d, want 2", got)
 	}
@@ -280,6 +283,9 @@ func TestHTTPMultipartTempFileChurn(t *testing.T) {
 		}
 	}
 
+	// The deferred RemoveAll runs as the handler returns, which can be after
+	// the client read the last byte; Close waits for in-flight handlers.
+	ts.Close()
 	if after := spillCount(); after > before {
 		t.Errorf("multipart temp files grew from %d to %d — spilled parts are leaking", before, after)
 	}
