@@ -18,6 +18,7 @@ import (
 	"rvdyn/internal/asm"
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/core"
+	"rvdyn/internal/dbi"
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
 	"rvdyn/internal/obs"
@@ -551,6 +552,73 @@ func BenchmarkEmulatorSampleOverhead(b *testing.B) {
 	b.Run("period=100000", func(b *testing.B) { run(b, 100000) })
 	b.Run("period=10000", func(b *testing.B) { run(b, 10000) })
 	b.Run("period=1000", func(b *testing.B) { run(b, 1000) })
+}
+
+// BenchmarkDBIColdCode measures the DBI engine on cold code: a
+// 500-function generated program in which each function runs about twice,
+// with a counter probe at every basic block, as costbench's coldcode
+// workload runs it. Each iteration launches, attaches, probes and
+// continues to exit; ns/native_inst divides that time by the native run's
+// retired instructions (stub and probe code does not count as work). The
+// per-run counts show where cold-code time goes: translations, superblock
+// builds, whole-cache generation bumps, and blocks retired one by one.
+func BenchmarkDBIColdCode(b *testing.B) {
+	if testing.Short() {
+		b.Skip("500-function DBI run: skipped in -short mode")
+	}
+	file, err := asm.Assemble(workload.RandomProgram(11, 500), asm.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := symtab.FromFile(file)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := parse.Parse(st, parse.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	native, err := emu.New(file, emu.P550())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if r := native.Run(0); r != emu.StopExit {
+		b.Fatal(r)
+	}
+	reg := obs.NewRegistry()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := proc.Launch(file, emu.P550())
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.CPU().Obs = emu.NewMetrics(reg)
+		e, err := dbi.Attach(p, file, dbi.Options{Obs: dbi.NewMetrics(reg)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, fn := range cfg.Funcs {
+			for _, blk := range fn.Blocks {
+				if err := e.ProbeAt(blk.Start, snippet.Increment(e.NewVar("bb", 8))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if ev, err := e.Continue(); err != nil || ev.Kind != proc.EventExit || p.ExitCode() != native.ExitCode {
+			b.Fatalf("ev=%+v err=%v exit=%d, native exit %d", ev, err, p.ExitCode(), native.ExitCode)
+		}
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n/float64(native.Instret), "ns/native_inst")
+	for _, c := range []struct{ name, unit string }{
+		{"emu.dbi.translations", "translations/run"},
+		{"emu.block_cache.builds", "block_builds/run"},
+		{"emu.block_cache.invalidations", "gen_bumps/run"},
+		{"emu.block_cache.kills", "block_kills/run"},
+	} {
+		b.ReportMetric(float64(reg.Counter(c.name).Load())/n, c.unit)
+	}
 }
 
 func BenchmarkSnippetGeneration(b *testing.B) {

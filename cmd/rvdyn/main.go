@@ -830,7 +830,7 @@ func cmdDBIRun(args []string) {
 		"emu.dbi.translations", "emu.dbi.chain.patches", "emu.dbi.chain.hits",
 		"emu.dbi.invalidations", "emu.dbi.indirect_exits",
 		"emu.dbi.ibl.hits", "emu.dbi.ibl.misses", "emu.dbi.probe_removals",
-		"emu.dbi.flushes", "emu.dbi.probes", "emu.dbi.deopts",
+		"emu.dbi.flushes", "emu.dbi.probes", "emu.dbi.deopts", "emu.block_cache.kills",
 	} {
 		fmt.Printf("%-24s %d\n", name, reg.Counter(name).Load())
 	}

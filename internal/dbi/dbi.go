@@ -581,28 +581,28 @@ func (e *Engine) invalidateRange(addr, n uint64, codeWrite bool) error {
 // translation's source span (plus a draining fragment's — its stale copy
 // must still be abandoned if its source changes under it). Coarse — stores
 // to untranslated bytes between two spans trip a no-op invalidation — but
-// one compare per store.
+// one compare per store. Only the paths that can shrink the union
+// (invalidateRange, flushAll, the end of a drain) recompute it; a new
+// translation just widens the watch by its own span, so translating costs
+// nothing per translation already cached.
 func (e *Engine) rearmWatch() {
-	var lo, hi uint64
-	span := func(t *translation) {
-		if lo == hi {
-			lo, hi = t.orig, t.origEnd
-			return
-		}
-		if t.orig < lo {
-			lo = t.orig
-		}
-		if t.origEnd > hi {
-			hi = t.origEnd
-		}
-	}
+	e.p.CPU().SetCodeWatch(0, 0)
 	for _, t := range e.trans {
-		span(t)
+		e.widenWatch(t)
 	}
 	if e.drain != nil {
-		span(e.drain)
+		e.widenWatch(e.drain)
 	}
-	e.p.CPU().SetCodeWatch(lo, hi)
+}
+
+// widenWatch extends the code-write watch to cover t's source span.
+func (e *Engine) widenWatch(t *translation) {
+	cpu := e.p.CPU()
+	lo, hi := cpu.CodeWatch()
+	if lo == hi {
+		lo, hi = t.orig, t.origEnd
+	}
+	cpu.SetCodeWatch(min(lo, t.orig), max(hi, t.origEnd))
 }
 
 // flushAll resets the whole cache (capacity or delta-table exhaustion):

@@ -366,7 +366,7 @@ func (e *Engine) translateN(orig uint64, limit int) (*translation, error) {
 	e.cacheNext = (t.cacheEnd + 3) &^ 3
 	e.trans[orig] = t
 	e.obs.Translations.Inc()
-	e.rearmWatch()
+	e.widenWatch(t)
 	return t, nil
 }
 

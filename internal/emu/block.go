@@ -40,11 +40,14 @@ import (
 //
 // Coherence with self-modifying code and dynamic patching reuses the
 // icache invalidation machinery: every block records the icache generation
-// (CPU.icGen) it was decoded under; storeCheck/WriteMem/FlushICache bump
-// the generation, and a stale block is re-decoded on its next dispatch.
+// (CPU.icGen) it was decoded under; guest stores into code and FlushICache
+// bump the generation, and a stale block is re-decoded on its next dispatch.
 // A store inside a block is followed by a generation check so a block that
 // rewrites its own tail (or the next block) retires only the instructions
 // that were executed before the write, then returns to the dispatcher.
+// WriteMem patches arrive with the CPU stopped, so they retire only the
+// blocks they touch (genDead, found through a code-page index), bumping the
+// generation only when one of those belongs to a trace.
 
 // maxBlockLen caps the body of one superblock; blocks longer than this are
 // split, with the continuation picked up by the next dispatch.
@@ -71,6 +74,8 @@ type bodyInst struct {
 	cost  uint64     // total cycle cost of all constituents
 	cost1 uint64     // cost of the first constituent alone (partial retire)
 	next  uint64     // address after the last constituent
+	cumC  uint64     // cycles of the block's constituents before this entry
+	cumN  uint64     // constituent instructions of the block before this entry
 	n     uint8      // constituent instruction count (1 or 2)
 	store bool       // writes memory: needs a generation check after executing
 }
@@ -102,10 +107,10 @@ type blockLink struct {
 // terminator (split at maxBlockLen, or decode failure mid-run) simply falls
 // through to the next dispatch.
 type block struct {
-	gen   uint64     // icache generation the block was decoded under
+	gen   uint64     // icache generation the block was decoded under (genDead: retired)
+	pc    uint64     // start address
+	hi    uint64     // address after the last constituent, terminator included
 	body  []bodyInst // straight-line body entries (fused pairs count as one)
-	cum   []uint64   // cum[i]: cycles of constituents before body[i]
-	cumN  []uint64   // cumN[i]: constituent instructions before body[i]
 	cost  uint64     // total body cycle cost
 	nBody uint64     // total body constituent count
 	end   uint64     // address after the last body instruction
@@ -145,7 +150,14 @@ type block struct {
 	// trigger stops retrying it.
 	trc     *trace
 	trcFail bool
+	// traced marks a block some trace was compiled through: a WriteMem into
+	// it must bump the generation, which is what severs traces.
+	traced bool
 }
+
+// genDead is the generation of a block WriteMem retired: it never equals
+// CPU.icGen, so every generation check rejects the block.
+const genDead = ^uint64(0)
 
 // succFor returns the cached successor starting at pc if it is still valid
 // under generation gen, severing stale entries as it goes.
@@ -233,7 +245,8 @@ func (c *CPU) buildBlock(pc uint64) *block {
 	if c.Obs != nil {
 		c.Obs.BlockBuilds.Inc()
 	}
-	b := &block{gen: c.icGen}
+	// The body grows in per-CPU scratch and is copied out at its final size.
+	b := &block{gen: c.icGen, pc: pc, body: c.bodyBuf[:0]}
 	a := pc
 	for len(b.body) < maxBlockLen {
 		inst, err := c.fetchAt(a)
@@ -264,15 +277,15 @@ func (c *CPU) buildBlock(pc uint64) *block {
 		})
 		a = inst.Next()
 	}
-	b.end = a
+	b.end, b.hi = a, a
 	if b.hasTerm {
 		c.prepareTerm(b)
+		b.hi = b.term.Next()
 	}
-	b.cum = make([]uint64, len(b.body))
-	b.cumN = make([]uint64, len(b.body))
+	c.bodyBuf = b.body
+	b.body = append(make([]bodyInst, 0, len(b.body)), b.body...)
 	for i := range b.body {
-		b.cum[i] = b.cost
-		b.cumN[i] = b.nBody
+		b.body[i].cumC, b.body[i].cumN = b.cost, b.nBody
 		b.cost += b.body[i].cost
 		b.nBody += uint64(b.body[i].n)
 	}
@@ -292,7 +305,52 @@ func (c *CPU) buildBlock(pc uint64) *block {
 	} else {
 		c.blkMap[pc] = b
 	}
+	for pg := pc >> pageBits; pg <= (b.hi-1)>>pageBits; pg++ {
+		l := c.blkPages[pg]
+		if len(l) == cap(l) {
+			l = c.liveBlocks(l)
+		}
+		c.blkPages[pg] = append(l, b)
+	}
 	return b
+}
+
+// liveBlocks drops the retired and stale entries of one page's index list
+// in place. Appends call it only when the list is full, so the list stays
+// within twice the page's live blocks at amortized constant cost.
+func (c *CPU) liveBlocks(l []*block) []*block {
+	live := l[:0]
+	for _, b := range l {
+		if b.gen == c.icGen {
+			live = append(live, b)
+		}
+	}
+	clear(l[len(live):])
+	return live
+}
+
+// killBlocks retires every current block whose bytes overlap [lo, hi) —
+// the span WriteMem cleared from the decode cache — and drops stale
+// entries from the index pages it walks. It reports false, leaving the
+// caller to bump the generation, when a touched block belongs to a trace.
+func (c *CPU) killBlocks(lo, hi uint64) bool {
+	var kills uint64
+	precise := true
+	for pg := lo >> pageBits; pg <= (hi-1)>>pageBits; pg++ {
+		l := c.blkPages[pg]
+		for _, b := range l {
+			if b.gen == c.icGen && b.pc < hi && b.hi > lo {
+				precise = precise && !b.traced
+				b.gen = genDead
+				kills++
+			}
+		}
+		c.blkPages[pg] = c.liveBlocks(l)
+	}
+	if precise && c.Obs != nil {
+		c.Obs.BlockKills.Add(kills)
+	}
+	return precise
 }
 
 // prepareTerm classifies the terminator and precomputes its targets and
@@ -372,9 +430,9 @@ func (c *CPU) runBlock(b *block) (retired uint64, stop StopReason) {
 				// alone and re-dispatch so the second constituent is
 				// re-decoded.
 				c.PC = bi.inst2.Addr
-				c.Cycles += b.cum[i] + bi.cost1
-				c.Instret += b.cumN[i] + 1
-				return b.cumN[i] + 1, stopNone
+				c.Cycles += bi.cumC + bi.cost1
+				c.Instret += bi.cumN + 1
+				return bi.cumN + 1, stopNone
 			}
 			// Architectural state must look exactly like the slow path's:
 			// the faulting constituent has not retired, PC points at it.
@@ -383,10 +441,10 @@ func (c *CPU) runBlock(b *block) (retired uint64, stop StopReason) {
 				fi, k = &bi.inst2, 1
 			}
 			c.PC = fi.Addr
-			c.Cycles += b.cum[i] + k*bi.cost1
-			c.Instret += b.cumN[i] + k
+			c.Cycles += bi.cumC + k*bi.cost1
+			c.Instret += bi.cumN + k
 			c.lastTrap = &Trap{PC: c.PC, Why: "execute " + fi.String(), Wrap: err}
-			return b.cumN[i] + k, StopTrap
+			return bi.cumN + k, StopTrap
 		}
 		if bi.store && c.watchHit {
 			// The store landed in the armed code-watch range. Retire the
@@ -394,18 +452,18 @@ func (c *CPU) runBlock(b *block) (retired uint64, stop StopReason) {
 			// past it, exactly like the slow path's post-exec check.
 			c.watchHit = false
 			c.PC = bi.next
-			c.Cycles += b.cum[i] + bi.cost
-			c.Instret += b.cumN[i] + uint64(bi.n)
-			return b.cumN[i] + uint64(bi.n), StopCodeWrite
+			c.Cycles += bi.cumC + bi.cost
+			c.Instret += bi.cumN + uint64(bi.n)
+			return bi.cumN + uint64(bi.n), StopCodeWrite
 		}
 		if bi.store && b.gen != c.icGen {
 			// The store invalidated cached code — possibly the rest of this
 			// very block. Retire the executed prefix and re-dispatch so the
 			// rewritten bytes are re-decoded.
 			c.PC = bi.next
-			c.Cycles += b.cum[i] + bi.cost
-			c.Instret += b.cumN[i] + uint64(bi.n)
-			return b.cumN[i] + uint64(bi.n), stopNone
+			c.Cycles += bi.cumC + bi.cost
+			c.Instret += bi.cumN + uint64(bi.n)
+			return bi.cumN + uint64(bi.n), stopNone
 		}
 	}
 	n := b.nBody

@@ -142,16 +142,20 @@ type CPU struct {
 	icOverflow    map[uint64]riscv.Inst
 	// icLo/icHi bound every cached address for cheap invalidation checks.
 	icLo, icHi uint64
-	// icGen is bumped whenever cached code is invalidated (store into code,
-	// WriteMem patch, fence.i). Superblocks record the generation they were
-	// decoded under and are re-decoded when it moves (see block.go).
+	// icGen is bumped whenever cached code is invalidated wholesale (guest
+	// store into code, fence.i, WriteMem into a traced block). Superblocks
+	// record the generation they were decoded under (see block.go).
 	icGen uint64
 
 	// Superblock cache: direct-mapped over the same executable window as
 	// icSlots, keyed by block start address, plus an overflow map for blocks
-	// outside it (trampolines).
+	// outside it (trampolines). blkPages indexes blocks by every code page
+	// they span, so WriteMem retires just the blocks it overwrites; bodyBuf
+	// is buildBlock's scratch body.
 	blkSlots []*block
 	blkMap   map[uint64]*block
+	blkPages map[uint64][]*block
+	bodyBuf  []bodyInst
 
 	// Hot-path engine counters, kept as plain fields (no atomics) and
 	// synced into Obs at every Run return. chainHits counts block→block
@@ -233,6 +237,7 @@ func New(f *elfrv.File, model *CostModel) (*CPU, error) {
 		c.blkSlots = make([]*block, (hi-lo+1)/2)
 	}
 	c.blkMap = make(map[uint64]*block)
+	c.blkPages = make(map[uint64][]*block)
 	c.Mem.Map(StackTop-StackSize, StackSize+pageSize)
 	c.PC = f.Entry
 	c.X[riscv.RegSP] = StackTop - 64 // modest arg area, 16-byte aligned
@@ -268,12 +273,12 @@ func (c *CPU) LastTrap() error { return c.lastTrap }
 // WriteMem writes process memory from outside the process (the debugger
 // path used by ProcControl) and keeps the decoded-instruction cache
 // coherent — the moral equivalent of the fence.i the kernel issues after
-// ptrace POKETEXT.
+// ptrace POKETEXT. It must only be called while Run is not executing.
 func (c *CPU) WriteMem(addr uint64, data []byte) error {
 	if err := c.Mem.WriteBytes(addr, data); err != nil {
 		return err
 	}
-	c.invalidate(addr, uint64(len(data)))
+	c.invalidate(addr, uint64(len(data)), true)
 	return nil
 }
 
@@ -286,7 +291,11 @@ func (c *CPU) ReadMem(addr uint64, n int) ([]byte, error) {
 	return b, nil
 }
 
-func (c *CPU) invalidate(addr, n uint64) {
+// invalidate clears the cached decodes a write to [addr, addr+n) may have
+// changed and retires the superblocks built from them. precise is set for
+// WriteMem, which runs with the CPU stopped: no block or trace is in
+// flight, so only the overlapping blocks need to die.
+func (c *CPU) invalidate(addr, n uint64, precise bool) {
 	if addr+n <= c.icLo || addr >= c.icHi {
 		return
 	}
@@ -296,29 +305,31 @@ func (c *CPU) invalidate(addr, n uint64) {
 	if start >= 2 {
 		start -= 2
 	}
-	dirtied := false
+	dirty := addr + n // lowest cleared decode (addr+n: none)
 	for a := start; a < addr+n; a += 2 {
 		if a >= c.icBase && a < c.icEnd {
 			if c.icSlots[(a-c.icBase)>>1].Len != 0 {
 				c.icSlots[(a-c.icBase)>>1] = riscv.Inst{}
-				dirtied = true
+				dirty = min(dirty, a)
 			}
 		} else if _, ok := c.icOverflow[a]; ok {
 			delete(c.icOverflow, a)
-			dirtied = true
+			dirty = min(dirty, a)
 		}
 	}
-	// A write that dirtied cached code retires every superblock: blocks
-	// carry pre-decoded instruction runs, so the cheap (if coarse) way to
-	// keep them coherent is a generation bump that forces re-decode on next
-	// dispatch. The bump is gated on an actual cached decode being hit:
-	// [icLo, icHi) is a coarse range that can cover data sitting between
-	// code regions (instrumented binaries place trampolines above .bss),
-	// and ordinary data stores landing there must not thrash the block
-	// cache. A decoded instruction's slot stays populated for as long as
-	// any block containing it is valid (fetchAt caches unconditionally and
-	// every clear bumps the generation), so the gate cannot miss.
-	if dirtied {
+	// A write that dirtied cached code retires every superblock built from
+	// the cleared decodes [dirty, addr+n). The retire is gated on an actual
+	// cached decode being hit: [icLo, icHi) is a coarse range that can
+	// cover data sitting between code regions (instrumented binaries place
+	// trampolines above .bss), and ordinary data stores landing there must
+	// not thrash the block cache. A decoded instruction's slot stays
+	// populated for as long as any block containing it is valid (fetchAt
+	// caches unconditionally and every clear retires the blocks overlapping
+	// it), so the gate cannot miss. WriteMem kills just those blocks; a
+	// guest store, or a WriteMem into a traced block, bumps the generation
+	// instead, which is what the mid-block, mid-trace, fused-pair split and
+	// SMC sever protocols detect.
+	if dirty < addr+n && !(precise && c.killBlocks(dirty, addr+n)) {
 		c.icGen++
 		if c.Obs != nil {
 			c.Obs.BlockInvalidations.Inc()
@@ -335,6 +346,7 @@ func (c *CPU) FlushICache() {
 	c.icLo, c.icHi = ^uint64(0), 0
 	c.icGen++
 	c.blkMap = make(map[uint64]*block)
+	c.blkPages = make(map[uint64][]*block)
 	if c.Obs != nil {
 		c.Obs.BlockInvalidations.Inc()
 	}
@@ -971,7 +983,7 @@ func (c *CPU) storeCheck(addr uint64, width uint64, err error) error {
 		return err
 	}
 	if addr < c.icHi && addr+width > c.icLo {
-		c.invalidate(addr, width)
+		c.invalidate(addr, width, false)
 	}
 	if addr < c.watchHi && addr+width > c.watchLo {
 		if c.watchHit {

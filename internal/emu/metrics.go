@@ -20,8 +20,11 @@ type Metrics struct {
 	BlockHits   *obs.Counter
 	BlockBuilds *obs.Counter
 	// BlockInvalidations counts icache-generation bumps — each one retires
-	// every cached superblock (stores into code, WriteMem patches, fence.i).
+	// every cached superblock (guest stores into code, fence.i, WriteMem
+	// patches into traced blocks). BlockKills counts superblocks WriteMem
+	// patches retired one by one without a bump.
 	BlockInvalidations *obs.Counter
+	BlockKills         *obs.Counter
 	// Syscalls counts serviced syscalls; per-number counts register as
 	// emu.syscall.<num> on first occurrence.
 	Syscalls *obs.Counter
@@ -74,6 +77,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		BlockHits:          r.Counter("emu.block_cache.hits"),
 		BlockBuilds:        r.Counter("emu.block_cache.builds"),
 		BlockInvalidations: r.Counter("emu.block_cache.invalidations"),
+		BlockKills:         r.Counter("emu.block_cache.kills"),
 		Syscalls:           r.Counter("emu.syscalls"),
 		ChainHits:          r.Counter("emu.chain.hits"),
 		ChainSevers:        r.Counter("emu.chain.severs"),

@@ -176,6 +176,7 @@ func (c *CPU) buildTrace(head *block, entry uint64) {
 			break
 		}
 		blocks++
+		b.traced = true
 		for j := range b.body {
 			t.ops = append(t.ops, traceBodyOp(&b.body[j]))
 		}
