@@ -47,7 +47,8 @@ func watchUnion(e *Engine) (lo, hi uint64) {
 // armed code-write watch must equal the union recomputed from the live
 // translations after every slice (so after every engine event), and the
 // block cache may bump its generation — retiring everything — only for a
-// cache flush or a self-modifying store, never for chaining patches.
+// cache flush or a self-modifying store, never for chaining patches. The
+// sliced run may build no more superblocks than the continuous one.
 func TestDBIColdProgram(t *testing.T) {
 	f, err := asm.Assemble(workload.RandomProgram(5, 200), asm.Options{})
 	if err != nil {
@@ -78,6 +79,7 @@ func TestDBIColdProgram(t *testing.T) {
 	static := staticCounts(t, f, funcs)
 	native := observeNative(t, f)
 
+	builds := map[uint64]uint64{} // continuous run's block builds, by cache size
 	for _, cacheSize := range []uint64{0, 16 << 10} {
 		for _, slice := range []uint64{0, 1} {
 			t.Run(fmt.Sprintf("cache=%d/slice=%d", cacheSize, slice), func(t *testing.T) {
@@ -148,6 +150,13 @@ func TestDBIColdProgram(t *testing.T) {
 				t.Logf("translations=%d patches=%d flushes=%d bumps=%d kills=%d block builds=%d",
 					reg.Counter("emu.dbi.translations").Load(), patches, flushes, bumps, kills,
 					reg.Counter("emu.block_cache.builds").Load())
+				// A budget slice too small for the block at the PC steps it
+				// without building a block mid-way through it.
+				if n := reg.Counter("emu.block_cache.builds").Load(); slice == 0 {
+					builds[cacheSize] = n
+				} else if n > builds[cacheSize] {
+					t.Errorf("%d block builds in 1-instruction slices, %d in one continuous run", n, builds[cacheSize])
+				}
 				if bumps > flushes+smc {
 					t.Errorf("%d whole-cache generation bumps for %d flushes and %d SMC invalidations",
 						bumps, flushes, smc)

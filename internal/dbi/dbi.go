@@ -74,8 +74,9 @@ type Engine struct {
 
 	probes map[uint64]*probeCode // original addr → lowered probe
 
-	varBase, varNext uint64
-	varMapped        bool
+	// Instrumentation variables: [varBase, varEnd) is mapped (varEnd 0:
+	// nothing yet) and varNext is the next free byte (see NewVar).
+	varBase, varNext, varEnd uint64
 
 	// comp is the counter-compensation state installed on the CPU;
 	// deltaIdx interns immutable deltas (index into comp.Deltas).
@@ -157,7 +158,7 @@ func Attach(p *proc.Process, f *elfrv.File, opts Options) (*Engine, error) {
 	comp.Deltas = comp.Deltas[:0]
 	e.comp = comp
 	e.pubHits = comp.IBLHits
-	p.MapRegion(e.cacheBase, opts.CacheSize)
+	p.MapCodeRegion(e.cacheBase, opts.CacheSize)
 	p.MapRegion(e.iblBase, iblRegionSize)
 	if err := e.iblZero(); err != nil {
 		return nil, err
@@ -286,14 +287,24 @@ func (e *Engine) RemoveProbeAt(addr uint64) error {
 }
 
 // NewVar allocates an instrumentation variable in fresh process memory
-// (above the code cache, outside every watched and hashed region).
+// (above the code cache, outside every watched and hashed region). The
+// first varRegionSize bytes lie between the cache and the inline-lookup
+// table; once they are used up, variables continue past the table, a page
+// mapped at a time.
 func (e *Engine) NewVar(name string, width int) *snippet.Var {
-	if !e.varMapped {
+	if e.varEnd == 0 {
 		e.p.MapRegion(e.varBase, varRegionSize)
-		e.varMapped = true
-		e.varNext = e.varBase
+		e.varNext, e.varEnd = e.varBase, e.varBase+varRegionSize
 	}
 	e.varNext = (e.varNext + 7) &^ 7
+	if e.varNext+8 > e.varEnd {
+		if e.varEnd == e.iblBase {
+			e.varEnd = e.iblBase + iblRegionSize
+			e.varNext = (e.varEnd + 7) &^ 7
+		}
+		e.p.MapRegion(e.varEnd, 4096)
+		e.varEnd += 4096
+	}
 	v := &snippet.Var{Name: name, Width: width, Addr: e.varNext}
 	e.varNext += 8
 	return v
@@ -656,7 +667,7 @@ func (e *Engine) Detach() error {
 	// materialization expansions) executes before a realignment point.
 	for i := 0; i < 1024; i++ {
 		pc := e.p.PC()
-		if e.p.Exited() || pc < e.cacheBase || pc >= e.cacheEnd {
+		if pc < e.cacheBase || pc >= e.cacheEnd {
 			return nil
 		}
 		for _, t := range e.trans {
@@ -676,6 +687,10 @@ func (e *Engine) Detach() error {
 				return nil
 			}
 		}
+		if e.p.Exited() {
+			// An exit that retired off a group bound: nothing runs again.
+			return nil
+		}
 		if st := e.exits[pc]; st != nil {
 			e.realignStub(st)
 			return nil
@@ -689,7 +704,8 @@ func (e *Engine) Detach() error {
 		}
 		switch ev.Kind {
 		case proc.EventExit:
-			return nil
+			// The exit's group bound (after the ecall) maps back above.
+			continue
 		case proc.EventCodeWrite:
 			if err := e.invalidateRange(ev.Addr, ev.Len, true); err != nil {
 				return err

@@ -289,6 +289,75 @@ func TestDBICountingProbe(t *testing.T) {
 	}
 }
 
+// TestDBIManyVars allocates far more instrumentation variables than the
+// region between the code cache and the inline-lookup table holds. The
+// first region-full of variables keeps its addresses; the rest continue
+// past the lookup table, so no variable aliases a table entry, the cache or
+// another variable. Counting probes on a spread of them (both sides of the
+// table included) at fib's entry must each count fib's 465 calls, leave the
+// unprobed ones zero, and leave the lookup's hit count untouched.
+func TestDBIManyVars(t *testing.T) {
+	const nVars = 20_000
+	f, err := asm.Assemble(workload.FibSource, asm.Options{})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	p, err := proc.Launch(f, emu.P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e, err := Attach(p, f, Options{Obs: NewMetrics(reg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, _ := f.Symbol("fib")
+	vars := make([]*snippet.Var, nVars)
+	probed := func(i int) bool { return i%16 == 0 || i == varRegionSize/8-1 || i == nVars-1 }
+	for i := range vars {
+		v := e.NewVar("v", 8)
+		vars[i] = v
+		switch {
+		case i < varRegionSize/8 && v.Addr != e.varBase+8*uint64(i):
+			t.Fatalf("var %d at %#x, want %#x", i, v.Addr, e.varBase+8*uint64(i))
+		case i > 0 && v.Addr < vars[i-1].Addr+8:
+			t.Fatalf("var %d at %#x overlaps var %d at %#x", i, v.Addr, i-1, vars[i-1].Addr)
+		case v.Addr < e.iblBase+iblRegionSize && v.Addr+8 > e.iblBase:
+			t.Fatalf("var %d at %#x inside the lookup table [%#x, %#x)", i, v.Addr, e.iblBase, e.iblBase+iblRegionSize)
+		case v.Addr < e.cacheEnd:
+			t.Fatalf("var %d at %#x below the cache end %#x", i, v.Addr, e.cacheEnd)
+		}
+		if probed(i) {
+			if err := e.ProbeAt(sym.Value, snippet.Increment(v)); err != nil {
+				t.Fatalf("probe var %d: %v", i, err)
+			}
+		}
+	}
+	ev, err := e.ContinueBudget(runBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != proc.EventExit || ev.ExitCode != workload.FibExpected {
+		t.Fatalf("exit = %+v, want %d", ev, workload.FibExpected)
+	}
+	for i, v := range vars {
+		n, err := e.ReadVar(v)
+		if err != nil {
+			t.Fatalf("var %d: %v", i, err)
+		}
+		want := uint64(0)
+		if probed(i) {
+			want = 465
+		}
+		if n != want {
+			t.Fatalf("var %d at %#x = %d, want %d", i, v.Addr, n, want)
+		}
+	}
+	if hits, misses := reg.Counter("emu.dbi.ibl.hits").Load(), reg.Counter("emu.dbi.ibl.misses").Load(); hits != 462 || misses != 3 {
+		t.Errorf("ibl.hits=%d misses=%d, want fib's 462 and 3", hits, misses)
+	}
+}
+
 // TestDBIAttachDetach exercises the attach-mid-run and detach-mid-run
 // lifecycle static rewriting cannot express: run natively for a while,
 // attach and instrument, run translated, detach, and finish natively — with

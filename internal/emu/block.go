@@ -201,7 +201,7 @@ func (c *CPU) chainNext(b *block) *block {
 	if nb := b.succFor(c, pc); nb != nil {
 		return nb
 	}
-	nb := c.blockAt(pc)
+	nb := c.blockAt(pc, true)
 	if nb != nil {
 		b.addSucc(pc, nb)
 	}
@@ -209,24 +209,19 @@ func (c *CPU) chainNext(b *block) *block {
 }
 
 // blockAt returns a current-generation block starting at pc, building (or
-// rebuilding) it if needed. It returns nil when pc cannot be fetched; the
-// caller falls back to the slow path, which reports the fault.
-func (c *CPU) blockAt(pc uint64) *block {
-	if pc >= c.icBase && pc < c.icEnd {
-		if b := c.blkSlots[(pc-c.icBase)>>1]; b != nil {
-			if b.gen == c.icGen {
-				if c.Obs != nil {
-					c.Obs.BlockHits.Inc()
-				}
-				return b
-			}
-			if b.trc != nil {
-				// The head went stale (SMC/patching): its trace dies with it.
-				b.trc = nil
-				c.traceSevers++
-			}
+// rebuilding) it if needed and build is set. It returns nil when pc cannot
+// be fetched, or nothing current is cached and build is false; the caller
+// falls back to the slow path, which reports any fault.
+func (c *CPU) blockAt(pc uint64, build bool) *block {
+	var b *block
+	if p, ok := c.codePage(pc); ok {
+		if p != nil {
+			b = p.blk[slot(pc)]
 		}
-	} else if b, ok := c.blkMap[pc]; ok {
+	} else {
+		b = c.blkMap[pc]
+	}
+	if b != nil {
 		if b.gen == c.icGen {
 			if c.Obs != nil {
 				c.Obs.BlockHits.Inc()
@@ -234,9 +229,13 @@ func (c *CPU) blockAt(pc uint64) *block {
 			return b
 		}
 		if b.trc != nil {
+			// The head went stale (SMC/patching): its trace dies with it.
 			b.trc = nil
 			c.traceSevers++
 		}
+	}
+	if !build {
+		return nil
 	}
 	return c.buildBlock(pc)
 }
@@ -300,8 +299,8 @@ func (c *CPU) buildBlock(pc uint64) *block {
 	if b.n == 0 {
 		return nil
 	}
-	if pc >= c.icBase && pc < c.icEnd {
-		c.blkSlots[(pc-c.icBase)>>1] = b
+	if p := c.allocCodePage(pc); p != nil {
+		p.blk[slot(pc)] = b
 	} else {
 		c.blkMap[pc] = b
 	}

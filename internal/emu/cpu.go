@@ -133,13 +133,13 @@ type CPU struct {
 	brk      uint64
 	mmapNext uint64
 
-	// Decoded-instruction cache: a direct-mapped slice over the executable
-	// window present at load time (slot index (pc-base)/2; Len==0 means
-	// empty), plus an overflow map for code outside it (e.g. trampolines
-	// mapped by dynamic instrumentation).
-	icBase, icEnd uint64
-	icSlots       []riscv.Inst
-	icOverflow    map[uint64]riscv.Inst
+	// Decoded-instruction and superblock caches: direct-mapped code windows
+	// of 4 KiB pages over the image and every MapCode region (window.go),
+	// plus overflow maps for code outside them (e.g. trampolines mapped by
+	// dynamic instrumentation).
+	image      codeWindow
+	mapped     []codeWindow
+	icOverflow map[uint64]riscv.Inst
 	// icLo/icHi bound every cached address for cheap invalidation checks.
 	icLo, icHi uint64
 	// icGen is bumped whenever cached code is invalidated wholesale (guest
@@ -147,12 +147,10 @@ type CPU struct {
 	// record the generation they were decoded under (see block.go).
 	icGen uint64
 
-	// Superblock cache: direct-mapped over the same executable window as
-	// icSlots, keyed by block start address, plus an overflow map for blocks
-	// outside it (trampolines). blkPages indexes blocks by every code page
-	// they span, so WriteMem retires just the blocks it overwrites; bodyBuf
-	// is buildBlock's scratch body.
-	blkSlots []*block
+	// Superblocks outside every code window, keyed by start address.
+	// blkPages indexes blocks by every code page they span, so WriteMem
+	// retires just the blocks it overwrites; bodyBuf is buildBlock's scratch
+	// body.
 	blkMap   map[uint64]*block
 	blkPages map[uint64][]*block
 	bodyBuf  []bodyInst
@@ -197,6 +195,12 @@ type CPU struct {
 	watchAddr, watchLen uint64
 	watchHit            bool
 
+	// seqPC is the fall-through address of the last instruction the slow
+	// path retired. A budgeted Run dispatching there is mid-way through a
+	// block the budget did not cover, so it runs only a block already
+	// cached at seqPC (see Run).
+	seqPC uint64
+
 	lastTrap error
 }
 
@@ -217,7 +221,10 @@ func New(f *elfrv.File, model *CostModel) (*CPU, error) {
 	if err := c.Mem.LoadELF(f); err != nil {
 		return nil, err
 	}
-	// Size the direct-mapped decode cache to the executable image.
+	// Size the image's code window. Its pages are allocated here, at load:
+	// image code is there to run, and a run should not pay for clearing
+	// them (only pages FlushICache dropped come back lazily). Windows that
+	// MapCode adds fill as code is written into them, so they stay lazy.
 	const maxWindow = 4 << 20
 	lo, hi := ^uint64(0), uint64(0)
 	for _, s := range f.Sections {
@@ -232,9 +239,10 @@ func New(f *elfrv.File, model *CostModel) (*CPU, error) {
 		}
 	}
 	if lo < hi && hi-lo <= maxWindow {
-		c.icBase, c.icEnd = lo, hi
-		c.icSlots = make([]riscv.Inst, (hi-lo+1)/2)
-		c.blkSlots = make([]*block, (hi-lo+1)/2)
+		c.image = newWindow(lo, hi)
+		for i := range c.image.pages {
+			c.image.pages[i] = new(codePage)
+		}
 	}
 	c.blkMap = make(map[uint64]*block)
 	c.blkPages = make(map[uint64][]*block)
@@ -306,16 +314,26 @@ func (c *CPU) invalidate(addr, n uint64, precise bool) {
 		start -= 2
 	}
 	dirty := addr + n // lowest cleared decode (addr+n: none)
-	for a := start; a < addr+n; a += 2 {
-		if a >= c.icBase && a < c.icEnd {
-			if c.icSlots[(a-c.icBase)>>1].Len != 0 {
-				c.icSlots[(a-c.icBase)>>1] = riscv.Inst{}
+	for a := start; a < addr+n; {
+		p, ok := c.codePage(a)
+		if !ok {
+			if _, ok := c.icOverflow[a]; ok {
+				delete(c.icOverflow, a)
 				dirty = min(dirty, a)
 			}
-		} else if _, ok := c.icOverflow[a]; ok {
-			delete(c.icOverflow, a)
-			dirty = min(dirty, a)
+			a += 2
+			continue
 		}
+		// A window page is cleared slot by slot; one nothing was decoded in
+		// is skipped whole.
+		end := min((a|pageMask)+1, addr+n)
+		for ; p != nil && a < end; a += 2 {
+			if in := &p.ic[slot(a)]; in.Len != 0 {
+				*in = riscv.Inst{}
+				dirty = min(dirty, a)
+			}
+		}
+		a = end
 	}
 	// A write that dirtied cached code retires every superblock built from
 	// the cleared decodes [dirty, addr+n). The retire is gated on an actual
@@ -339,8 +357,9 @@ func (c *CPU) invalidate(addr, n uint64, precise bool) {
 
 // FlushICache drops all cached decodes (fence.i semantics).
 func (c *CPU) FlushICache() {
-	for i := range c.icSlots {
-		c.icSlots[i] = riscv.Inst{}
+	clear(c.image.pages)
+	for i := range c.mapped {
+		clear(c.mapped[i].pages)
 	}
 	c.icOverflow = make(map[uint64]riscv.Inst)
 	c.icLo, c.icHi = ^uint64(0), 0
@@ -355,13 +374,15 @@ func (c *CPU) FlushICache() {
 func (c *CPU) fetch() (riscv.Inst, error) { return c.fetchAt(c.PC) }
 
 func (c *CPU) fetchAt(pc uint64) (riscv.Inst, error) {
-	inWindow := pc >= c.icBase && pc < c.icEnd
-	if inWindow {
-		if inst := c.icSlots[(pc-c.icBase)>>1]; inst.Len != 0 {
+	p, inWindow := c.codePage(pc)
+	if p != nil {
+		if inst := p.ic[slot(pc)]; inst.Len != 0 {
 			return inst, nil
 		}
-	} else if inst, ok := c.icOverflow[pc]; ok {
-		return inst, nil
+	} else if !inWindow {
+		if inst, ok := c.icOverflow[pc]; ok {
+			return inst, nil
+		}
 	}
 	// Raw fetches go through the fetch TLB: instruction parcels are 2-byte
 	// aligned, so each halfword read stays within one page.
@@ -385,7 +406,10 @@ func (c *CPU) fetchAt(pc uint64) (riscv.Inst, error) {
 		return inst, err
 	}
 	if inWindow {
-		c.icSlots[(pc-c.icBase)>>1] = inst
+		if p == nil {
+			p = c.allocCodePage(pc)
+		}
+		p.ic[slot(pc)] = inst
 	} else {
 		c.icOverflow[pc] = inst
 	}
@@ -497,7 +521,11 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 			b := chained
 			chained = nil
 			if b == nil {
-				b = c.blockAt(c.PC)
+				// Where the slow path stepped here from the previous
+				// instruction because the budget did not cover its block, a
+				// block built mid-way through that one would cost a build
+				// per instruction of a sliced run: only a cached one runs.
+				b = c.blockAt(c.PC, maxInst == 0 || c.PC != c.seqPC)
 			}
 			if b != nil && !c.NoTrace {
 				if t := b.trc; t != nil {
@@ -598,6 +626,7 @@ func (c *CPU) stepOne() StopReason {
 	} else if stop {
 		return StopExit
 	}
+	c.seqPC = inst.Next()
 	if c.watchHit {
 		c.watchHit = false
 		return StopCodeWrite

@@ -262,7 +262,7 @@ func (c *CPU) buildTrace(head *block, entry uint64) {
 		}
 		visited[nextPC] = true
 		pc = nextPC
-		b = c.blockAt(nextPC)
+		b = c.blockAt(nextPC, true)
 	}
 	if len(t.ops) == 0 {
 		head.trcFail = true

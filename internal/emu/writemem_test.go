@@ -17,8 +17,11 @@ func instBytes(in riscv.Inst) []byte {
 
 // cachedBlock returns the superblock cached at pc, current or not.
 func cachedBlock(c *CPU, pc uint64) *block {
-	if pc >= c.icBase && pc < c.icEnd {
-		return c.blkSlots[(pc-c.icBase)>>1]
+	if p, ok := c.codePage(pc); ok {
+		if p == nil {
+			return nil
+		}
+		return p.blk[slot(pc)]
 	}
 	return c.blkMap[pc]
 }

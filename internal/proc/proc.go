@@ -228,6 +228,13 @@ func (p *Process) MapRegion(addr, size uint64) {
 	p.cpu.Mem.Map(addr, size)
 }
 
+// MapCodeRegion is MapRegion for memory the process will execute code from
+// (a code cache): the emulator direct-maps its decode and block caches over
+// the region, as it does over the image.
+func (p *Process) MapCodeRegion(addr, size uint64) {
+	p.cpu.MapCode(addr, size)
+}
+
 // Exited reports whether the process has terminated.
 func (p *Process) Exited() bool { return p.cpu.Exited }
 
